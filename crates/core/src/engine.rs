@@ -228,13 +228,8 @@ impl QuantumDb {
                 .find(|p| p.id == id)
                 .expect("just admitted")
                 .txn;
-            let others: Vec<PendingTxn> = partition
-                .txns
-                .iter()
-                .filter(|p| p.id != id)
-                .cloned()
-                .collect();
-            let mut partners = coordination_partners(new_txn, &others);
+            let mut partners =
+                coordination_partners(new_txn, partition.txns.iter().filter(|p| p.id != id));
             if !partners.is_empty() {
                 partners.push(id);
                 self.ground_set(pid, &partners, GroundReason::Partner)?;
@@ -361,9 +356,7 @@ impl QuantumDb {
             })?;
         }
         host.txns.push(PendingTxn::new(id, txn));
-        host.cache = CachedSolution {
-            valuations: plan.valuations,
-        };
+        plan.cache.apply_to(&mut host.cache);
         host.extras = plan.extras;
         host.overlay_cache = plan.overlay;
         debug_assert_eq!(host.txns.len(), host.cache.len());
@@ -408,13 +401,8 @@ impl QuantumDb {
                 .expect("read check returned live txn");
             // Pull in coordination partners so a read does not needlessly
             // split a pair that could still coordinate.
-            let others: Vec<PendingTxn> = partition
-                .txns
-                .iter()
-                .filter(|p| p.id != id)
-                .cloned()
-                .collect();
-            let mut ids = coordination_partners(&target.txn, &others);
+            let mut ids =
+                coordination_partners(&target.txn, partition.txns.iter().filter(|p| p.id != id));
             ids.push(id);
             self.ground_set(pid, &ids, GroundReason::Read)?;
         }
@@ -828,9 +816,9 @@ pub(crate) enum AdmitPath {
     FullResolve,
 }
 
-/// A successful admission plan: the new cache valuations for the merged
-/// partition (merged arrival order, newcomer last), opportunistic
-/// alternative solutions, and which cache path succeeded.
+/// A successful admission plan: how the merged partition's cached
+/// valuations change, opportunistic alternative solutions, and which cache
+/// path succeeded.
 ///
 /// Planning is **pure** (reads the database and the merged partition view,
 /// mutates nothing), so the sharded engine can run it under a shared
@@ -838,17 +826,38 @@ pub(crate) enum AdmitPath {
 /// solve in parallel.
 #[derive(Debug)]
 pub(crate) struct AdmitPlan {
-    /// Cache valuations, parallel to merged transactions + the newcomer.
-    pub valuations: Vec<Valuation>,
+    /// The host partition's new cached valuations.
+    pub cache: CacheUpdate,
     /// Alternative cached solutions for the host partition.
     pub extras: Vec<CachedSolution>,
     /// Which admission path succeeded.
     pub path: AdmitPath,
     /// The admission overlay for the host partition: the virtual state of
-    /// `valuations` with the newcomer's updates applied. `Some` only on
+    /// the new cache with the newcomer's updates applied. `Some` only on
     /// the extension fast path (other paths replace earlier valuations,
     /// so the next admission rebuilds it).
     pub overlay: Option<qdb_solver::Overlay>,
+}
+
+/// How an admission changes the merged partition's cached valuations
+/// (merged arrival order, newcomer last).
+#[derive(Debug)]
+pub(crate) enum CacheUpdate {
+    /// The merged cached solution stands; append the newcomer's valuation.
+    Extend(Valuation),
+    /// Replace every valuation (alternative hit or full re-solve).
+    Replace(Vec<Valuation>),
+}
+
+impl CacheUpdate {
+    /// Install into the merged partition's cache, which must still hold
+    /// the valuations the plan was made against.
+    pub(crate) fn apply_to(self, cache: &mut CachedSolution) {
+        match self {
+            CacheUpdate::Extend(v) => cache.valuations.push(v),
+            CacheUpdate::Replace(vals) => cache.valuations = vals,
+        }
+    }
 }
 
 /// Outcome of [`plan_admission`].
@@ -907,7 +916,10 @@ pub(crate) fn plan_admission(
     cached_overlay: Option<qdb_solver::Overlay>,
     txn: &ResourceTransaction,
 ) -> Result<AdmitDecision> {
-    let mut admitted: Option<Vec<Valuation>> = None;
+    let newcomer = |sol: qdb_solver::Solution| -> Valuation {
+        sol.valuations.into_iter().next().expect("one spec")
+    };
+    let mut admitted: Option<CacheUpdate> = None;
     let mut admitted_pre_ops: Option<Vec<WriteOp>> = None;
     let mut out_overlay: Option<qdb_solver::Overlay> = None;
     let mut refused_overlay: Option<qdb_solver::Overlay> = None;
@@ -930,9 +942,7 @@ pub(crate) fn plan_admission(
         };
         match solver.solve_in(db, &mut overlay, &[TxnSpec::required_only(txn)])? {
             Some(sol) => {
-                let mut vals: Vec<Valuation> = merged.iter().map(|(_, v)| (*v).clone()).collect();
-                vals.extend(sol.valuations);
-                admitted = Some(vals);
+                admitted = Some(CacheUpdate::Extend(newcomer(sol)));
                 // `solve_in` left the newcomer's updates applied: the
                 // overlay is already the post-admission virtual state.
                 out_overlay = Some(overlay);
@@ -955,7 +965,7 @@ pub(crate) fn plan_admission(
                     if let Some(sol) = solver.solve(db, &alt_ops, &[TxnSpec::required_only(txn)])? {
                         let mut vals = extra.valuations.clone();
                         vals.extend(sol.valuations);
-                        admitted = Some(vals);
+                        admitted = Some(CacheUpdate::Replace(vals));
                         path = AdmitPath::ExtraHit;
                         break;
                     }
@@ -970,9 +980,7 @@ pub(crate) fn plan_admission(
             pre_ops.extend(p.txn.write_ops(v)?);
         }
         if let Some(sol) = solver.solve(db, &pre_ops, &[TxnSpec::required_only(txn)])? {
-            let mut vals: Vec<Valuation> = merged.iter().map(|(_, v)| (*v).clone()).collect();
-            vals.extend(sol.valuations);
-            admitted = Some(vals);
+            admitted = Some(CacheUpdate::Extend(newcomer(sol)));
             admitted_pre_ops = Some(pre_ops);
             path = AdmitPath::Extension;
         } else {
@@ -987,7 +995,7 @@ pub(crate) fn plan_admission(
                 if let Some(sol) = solver.solve(db, &alt_ops, &[TxnSpec::required_only(txn)])? {
                     let mut vals = extra.valuations.clone();
                     vals.extend(sol.valuations);
-                    admitted = Some(vals);
+                    admitted = Some(CacheUpdate::Replace(vals));
                     admitted_pre_ops = Some(alt_ops);
                     path = AdmitPath::ExtraHit;
                     break;
@@ -1003,11 +1011,11 @@ pub(crate) fn plan_admission(
             .collect();
         specs.push(TxnSpec::required_only(txn));
         if let Some(sol) = solver.solve(db, &[], &specs)? {
-            admitted = Some(sol.valuations);
+            admitted = Some(CacheUpdate::Replace(sol.valuations));
             path = AdmitPath::FullResolve;
         }
     }
-    let Some(valuations) = admitted else {
+    let Some(cache) = admitted else {
         return Ok(AdmitDecision::Refused(refused_overlay));
     };
     // Opportunistically stock alternative solutions: same prefix,
@@ -1023,19 +1031,28 @@ pub(crate) fn plan_admission(
                 &TxnSpec::required_only(txn),
                 config.cache_solutions,
             )?;
-            let chosen = valuations.last().expect("newcomer valuation present");
+            // Alternatives keep the admitted prefix and swap the newcomer.
+            let (prefix, chosen): (Vec<Valuation>, &Valuation) = match &cache {
+                CacheUpdate::Extend(new) => {
+                    (merged.iter().map(|(_, v)| (*v).clone()).collect(), new)
+                }
+                CacheUpdate::Replace(vals) => {
+                    let (last, head) = vals.split_last().expect("newcomer valuation present");
+                    (head.to_vec(), last)
+                }
+            };
             for alt in alts {
                 if &alt == chosen || plan_extras.len() + 1 >= config.cache_solutions {
                     continue;
                 }
-                let mut vals = valuations.clone();
-                *vals.last_mut().expect("non-empty") = alt;
+                let mut vals = prefix.clone();
+                vals.push(alt);
                 plan_extras.push(CachedSolution { valuations: vals });
             }
         }
     }
     Ok(AdmitDecision::Admitted(AdmitPlan {
-        valuations,
+        cache,
         extras: plan_extras,
         path,
         overlay: out_overlay,
@@ -1117,5 +1134,35 @@ mod tests {
         let ext_before = qdb.metrics().cache_extensions;
         assert!(qdb.submit(&book("U4")).unwrap().is_committed());
         assert_eq!(qdb.metrics().cache_extensions, ext_before + 1);
+    }
+
+    #[test]
+    fn admission_overlay_survives_partner_and_k_grounding() {
+        let seats: Vec<String> = (0..8).map(|i| format!("1{i}")).collect();
+        let seats: Vec<&str> = seats.iter().map(String::as_str).collect();
+        let mut qdb = seat_engine(&seats);
+        qdb.config.k = 3;
+        let entangled = |me: &str, partner: &str| {
+            parse_transaction(&format!(
+                "-Available(1, s), +Bookings('{me}', 1, s) :-1 \
+                 Available(1, s), Bookings('{partner}', 1, s2)?"
+            ))
+            .unwrap()
+        };
+        let memo = |qdb: &QuantumDb| qdb.partitions.values().all(|p| p.overlay_cache.is_some());
+        assert!(qdb.submit(&entangled("A", "B")).unwrap().is_committed());
+        assert!(qdb.submit(&book("U1")).unwrap().is_committed());
+        // B's arrival grounds the pair; the residue keeps its memo.
+        assert!(qdb.submit(&entangled("B", "A")).unwrap().is_committed());
+        assert_eq!(qdb.metrics().grounded_by_partner, 2);
+        assert!(memo(&qdb), "partner grounding must rebase the overlay");
+        for u in ["U2", "U3", "U4"] {
+            assert!(qdb.submit(&book(u)).unwrap().is_committed());
+        }
+        assert!(qdb.metrics().grounded_by_k > 0);
+        assert!(memo(&qdb), "k-bound grounding must rebase the overlay");
+        // Every admission extended the cached solution (debug builds also
+        // check each reused overlay against a fresh rebuild).
+        assert_eq!(qdb.metrics().cache_extensions, qdb.metrics().committed);
     }
 }

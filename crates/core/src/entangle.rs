@@ -18,15 +18,24 @@ use crate::txn::{PendingTxn, TxnId};
 /// atom of `a` unifies with an insert of `b`'s update portion — i.e. `b`'s
 /// booking could satisfy `a`'s soft preference.
 pub fn coordinates_with(a: &ResourceTransaction, b: &ResourceTransaction) -> bool {
-    a.optional_body()
-        .any(|opt| b.inserts().any(|ins| unifiable(&opt.atom, &ins.atom)))
+    // `may_overlap` is necessary for unification and allocates nothing, so
+    // it rejects most pairs before `unifiable` builds a substitution.
+    a.optional_body().any(|opt| {
+        b.inserts()
+            .any(|ins| opt.atom.may_overlap(&ins.atom) && unifiable(&opt.atom, &ins.atom))
+    })
 }
 
 /// Pending transactions that form a coordination pair with `new_txn`
-/// (either direction), in arrival order.
-pub fn coordination_partners(new_txn: &ResourceTransaction, pending: &[PendingTxn]) -> Vec<TxnId> {
+/// (either direction), in the order `pending` yields them. The scan
+/// borrows: callers pass the partition's transactions (minus `new_txn`
+/// itself) as an iterator.
+pub fn coordination_partners<'a>(
+    new_txn: &ResourceTransaction,
+    pending: impl IntoIterator<Item = &'a PendingTxn>,
+) -> Vec<TxnId> {
     pending
-        .iter()
+        .into_iter()
         .filter(|p| coordinates_with(new_txn, &p.txn) || coordinates_with(&p.txn, new_txn))
         .map(|p| p.id)
         .collect()

@@ -188,8 +188,8 @@ pub(crate) struct GroundedTxn {
 }
 
 /// A complete plan for grounding a group within one partition: which
-/// transactions leave the pending set (with their updates), and the
-/// refreshed cache valuations for the transactions that remain.
+/// transactions leave the pending set (with their updates), and what the
+/// transactions that remain keep.
 ///
 /// Planning is **pure** — it reads the database (plus `pre_ops`, updates
 /// already planned but not yet applied) and the partition, and mutates
@@ -200,9 +200,18 @@ pub(crate) struct GroundedTxn {
 pub(crate) struct GroundPlan {
     /// Transactions leaving the pending set, in group order.
     pub grounded: Vec<GroundedTxn>,
-    /// Cache valuations for the remaining pending transactions (in the
-    /// partition's arrival order, group members skipped).
-    pub rest_vals: Vec<Valuation>,
+    /// Re-solved cache valuations for the remaining pending transactions
+    /// (in the partition's arrival order, group members skipped); `None`
+    /// when their cached valuations verified against the group's updates
+    /// and stay as they are.
+    pub rest_vals: Option<Vec<Valuation>>,
+    /// The admission overlay of the remaining transactions over the
+    /// post-grounding base: the verify or joint solve that validated the
+    /// plan built exactly this virtual state, rebased onto the base the
+    /// plan's updates produce. `None` when planning ran on top of
+    /// `pre_ops` (a `GROUND ALL` plan empties its scratch partition and
+    /// never admits into it) or grounded nothing.
+    pub overlay: Option<Overlay>,
 }
 
 /// §5.1: fixing a transaction fixes its coordination partners with it —
@@ -263,23 +272,23 @@ pub(crate) fn plan_group_front(
     p: &crate::Partition,
     ids: &[TxnId],
 ) -> Result<Option<GroundPlan>> {
-    let idset: std::collections::BTreeSet<TxnId> = ids.iter().copied().collect();
-    let mut group = Vec::new();
-    let mut rest = Vec::new();
-    let mut rest_cached = Vec::new();
+    let mut group: Vec<&crate::PendingTxn> = Vec::with_capacity(ids.len());
+    let mut rest: Vec<&crate::PendingTxn> = Vec::with_capacity(p.len());
+    let mut rest_cached: Vec<&Valuation> = Vec::with_capacity(p.len());
     for (t, v) in p.txns.iter().zip(&p.cache.valuations) {
-        if idset.contains(&t.id) {
-            group.push(t.clone());
+        if ids.contains(&t.id) {
+            group.push(t);
         } else {
-            rest.push(t.clone());
-            rest_cached.push(v.clone());
+            rest.push(t);
+            rest_cached.push(v);
         }
     }
     if group.is_empty() {
         // All already grounded in an earlier cascade: an empty plan.
         return Ok(Some(GroundPlan {
             grounded: Vec::new(),
-            rest_vals: rest_cached,
+            rest_vals: None,
+            overlay: None,
         }));
     }
     let optionals: Vec<Vec<usize>> = group
@@ -311,6 +320,15 @@ pub(crate) fn plan_group_front(
     Ok(None)
 }
 
+/// `base + ops` as a fresh overlay (`ops` must apply cleanly).
+fn overlay_of(db: &qdb_storage::Database, ops: &[qdb_storage::WriteOp]) -> Result<Overlay> {
+    let mut overlay = Overlay::new();
+    for op in ops {
+        overlay.apply(db, op).map_err(crate::EngineError::from)?;
+    }
+    Ok(overlay)
+}
+
 /// Find a grounding for `group` executed before `rest`, with the given
 /// per-transaction promotions. Applies the configured
 /// [`crate::GroundingPolicy`] when the group is a single transaction.
@@ -320,9 +338,9 @@ fn plan_solve_group(
     db: &qdb_storage::Database,
     pre_ops: &[qdb_storage::WriteOp],
     config: &crate::QuantumDbConfig,
-    group: &[crate::PendingTxn],
-    rest: &[crate::PendingTxn],
-    rest_cached: &[Valuation],
+    group: &[&crate::PendingTxn],
+    rest: &[&crate::PendingTxn],
+    rest_cached: &[&Valuation],
     promo: &[Vec<usize>],
 ) -> Result<Option<GroundPlan>> {
     let group_specs: Vec<TxnSpec> = group
@@ -334,7 +352,13 @@ fn plan_solve_group(
         .iter()
         .map(|p| TxnSpec::required_only(&p.txn))
         .collect();
-    let finish = |group_vals: Vec<Valuation>, rest_vals: Vec<Valuation>| -> Result<GroundPlan> {
+    // `state` is the validated post-grounding virtual state over `db`:
+    // `pre_ops`, the group's updates, then the residue's under
+    // `rest_vals` (or the cached valuations when `None`).
+    let finish = |group_vals: Vec<Valuation>,
+                  rest_vals: Option<Vec<Valuation>>,
+                  mut state: Overlay|
+     -> Result<GroundPlan> {
         let mut grounded = Vec::with_capacity(group.len());
         for ((pt, val), pr) in group.iter().zip(&group_vals).zip(promo) {
             grounded.push(GroundedTxn {
@@ -344,9 +368,20 @@ fn plan_solve_group(
                 total_optionals: pt.txn.optional_body().count(),
             });
         }
+        let overlay = if pre_ops.is_empty() {
+            let ops: Vec<qdb_storage::WriteOp> = grounded
+                .iter()
+                .flat_map(|g| g.ops.iter().cloned())
+                .collect();
+            state.rebase(db, &ops).map_err(crate::EngineError::from)?;
+            Some(state)
+        } else {
+            None
+        };
         Ok(GroundPlan {
             grounded,
             rest_vals,
+            overlay,
         })
     };
     let with_pre = |ops: &[qdb_storage::WriteOp]| -> Vec<qdb_storage::WriteOp> {
@@ -387,9 +422,9 @@ fn plan_solve_group(
             crate::GroundingPolicy::FirstFit => unreachable!("sample > 1"),
         }
         for cand in cands {
-            let ops = with_pre(&group[0].txn.write_ops(&cand)?);
-            if let Some(sol) = solver.solve(db, &ops, &rest_specs)? {
-                return finish(vec![cand], sol.valuations).map(Some);
+            let mut state = overlay_of(db, &with_pre(&group[0].txn.write_ops(&cand)?))?;
+            if let Some(sol) = solver.solve_in(db, &mut state, &rest_specs)? {
+                return finish(vec![cand], Some(sol.valuations), state).map(Some);
             }
         }
         return Ok(None);
@@ -404,8 +439,9 @@ fn plan_solve_group(
         for (p, v) in group.iter().zip(&gsol.valuations) {
             ops.extend(p.txn.write_ops(v)?);
         }
-        if solver.verify(db, &ops, &rest_specs, rest_cached)? {
-            return finish(gsol.valuations, rest_cached.to_vec()).map(Some);
+        let mut state = overlay_of(db, &ops)?;
+        if solver.verify_in(db, &mut state, &rest_specs, rest_cached)? {
+            return finish(gsol.valuations, None, state).map(Some);
         }
     } else {
         // The group alone (with these promotions) is unsatisfiable — the
@@ -416,29 +452,50 @@ fn plan_solve_group(
     // FirstFit (or joint group): one solve over group ++ rest.
     let mut all = group_specs;
     all.extend(rest_specs);
-    match solver.solve(db, pre_ops, &all)? {
+    let mut state = overlay_of(db, pre_ops)?;
+    match solver.solve_in(db, &mut state, &all)? {
         Some(sol) => {
             let mut vals = sol.valuations;
             let rest_vals = vals.split_off(group.len());
-            finish(vals, rest_vals).map(Some)
+            finish(vals, Some(rest_vals), state).map(Some)
         }
         None => Ok(None),
     }
 }
 
 /// Apply the partition-side effects of a plan: drop the grounded
-/// transactions from the pending list and refresh the cache with the
-/// residue valuations. Database/WAL/metrics effects are the caller's —
-/// they differ between the single-threaded and the sharded engine.
-pub(crate) fn apply_plan_to_partition(p: &mut crate::Partition, plan: &GroundPlan) {
-    let idset: std::collections::BTreeSet<TxnId> = plan.grounded.iter().map(|g| g.id).collect();
-    p.txns.retain(|t| !idset.contains(&t.id));
-    p.cache = qdb_solver::CachedSolution {
-        valuations: plan.rest_vals.clone(),
-    };
-    // Positional alternatives and the admission overlay are stale now.
-    p.invalidate_solution_caches();
+/// transactions from the pending list, keep or replace the residue's
+/// cached valuations, and install the plan's rebased admission overlay
+/// (moved out of `plan`). Returns the transactions that left. Database,
+/// WAL and metrics effects are the caller's — they differ between the
+/// single-threaded and the sharded engine.
+pub(crate) fn apply_plan_to_partition(
+    p: &mut crate::Partition,
+    plan: &mut GroundPlan,
+) -> Vec<crate::PendingTxn> {
+    let rest_vals = plan.rest_vals.take();
+    let txns = std::mem::take(&mut p.txns);
+    let cached = std::mem::take(&mut p.cache.valuations);
+    let mut removed = Vec::with_capacity(plan.grounded.len());
+    for (t, v) in txns.into_iter().zip(cached) {
+        if plan.grounded.iter().any(|g| g.id == t.id) {
+            removed.push(t);
+        } else {
+            p.txns.push(t);
+            if rest_vals.is_none() {
+                p.cache.valuations.push(v);
+            }
+        }
+    }
+    if let Some(vals) = rest_vals {
+        p.cache.valuations = vals;
+    }
+    // Positional alternatives are stale now; the admission overlay is
+    // the plan's, already rebased onto the post-grounding base.
+    p.extras.clear();
+    p.overlay_cache = plan.overlay.take();
     debug_assert_eq!(p.txns.len(), p.cache.len());
+    removed
 }
 
 /// Plan the *complete* collapse of one partition without touching the
@@ -459,12 +516,12 @@ pub(crate) fn plan_ground_all_partition(
     let commit = |p: &mut crate::Partition,
                   pre_ops: &mut Vec<qdb_storage::WriteOp>,
                   out: &mut Vec<GroundedTxn>,
-                  plan: &GroundPlan| {
+                  mut plan: GroundPlan| {
+        apply_plan_to_partition(p, &mut plan);
         for g in &plan.grounded {
             pre_ops.extend(g.ops.iter().cloned());
         }
-        out.extend(plan.grounded.iter().cloned());
-        apply_plan_to_partition(p, plan);
+        out.extend(plan.grounded);
     };
     while let Some(head) = p.txns.first().map(|t| t.id) {
         let ids = expand_partners(p, &[head]);
@@ -475,7 +532,7 @@ pub(crate) fn plan_ground_all_partition(
             crate::Serializability::Strict => None,
         };
         if let Some(plan) = group_plan {
-            commit(p, &mut pre_ops, &mut out, &plan);
+            commit(p, &mut pre_ops, &mut out, plan);
         } else {
             // Strict order (or semantic front-move failed): heads through.
             while ids.iter().any(|id| p.position(*id).is_some()) {
@@ -488,7 +545,7 @@ pub(crate) fn plan_ground_all_partition(
                                 .into(),
                         )
                     })?;
-                commit(p, &mut pre_ops, &mut out, &plan);
+                commit(p, &mut pre_ops, &mut out, plan);
             }
         }
     }
@@ -498,29 +555,32 @@ pub(crate) fn plan_ground_all_partition(
 impl QuantumDb {
     /// Ground the pending transactions `ids` (must all live in partition
     /// `pid`), honoring the configured serializability and grounding
-    /// policy. See module docs.
+    /// policy, timed as [`qdb_obs::Phase::Ground`]. See module docs.
     pub(crate) fn ground_set(
         &mut self,
         pid: u64,
         ids: &[TxnId],
         reason: GroundReason,
     ) -> Result<()> {
-        let ids: Vec<TxnId> = {
-            let Some(p) = self.partitions.get(&pid) else {
-                return Ok(());
-            };
-            expand_partners(p, ids)
-        };
-        match self.config.serializability {
-            crate::Serializability::Semantic => {
-                if self.try_ground_group(pid, &ids, reason)? {
+        let obs = std::sync::Arc::clone(&self.obs);
+        obs.time(qdb_obs::Phase::Ground, || {
+            let ids: Vec<TxnId> = {
+                let Some(p) = self.partitions.get(&pid) else {
                     return Ok(());
+                };
+                expand_partners(p, ids)
+            };
+            match self.config.serializability {
+                crate::Serializability::Semantic => {
+                    if self.try_ground_group(pid, &ids, reason)? {
+                        return Ok(());
+                    }
+                    // Front-move unsatisfiable in this order: fall back.
+                    self.ground_strict_through(pid, &ids, reason)
                 }
-                // Front-move unsatisfiable in this order: fall back.
-                self.ground_strict_through(pid, &ids, reason)
+                crate::Serializability::Strict => self.ground_strict_through(pid, &ids, reason),
             }
-            crate::Serializability::Strict => self.ground_strict_through(pid, &ids, reason),
-        }
+        })
     }
 
     /// Strict serializability: repeatedly ground the partition *head* (in
@@ -554,7 +614,7 @@ impl QuantumDb {
         else {
             return Ok(false);
         };
-        self.commit_ground_plan(pid, &plan, reason)?;
+        self.commit_ground_plan(pid, plan, reason)?;
         Ok(true)
     }
 
@@ -564,7 +624,7 @@ impl QuantumDb {
     pub(crate) fn commit_ground_plan(
         &mut self,
         pid: u64,
-        plan: &GroundPlan,
+        mut plan: GroundPlan,
         reason: GroundReason,
     ) -> Result<()> {
         let t_apply = std::time::Instant::now();
@@ -594,7 +654,7 @@ impl QuantumDb {
             .partitions
             .get_mut(&pid)
             .expect("partition existed at plan time");
-        apply_plan_to_partition(p, plan);
+        apply_plan_to_partition(p, &mut plan);
         if p.is_empty() {
             self.partitions.remove(&pid);
         }

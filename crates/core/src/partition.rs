@@ -11,7 +11,10 @@
 //! several partitions forces them to merge (the paper's window-seat /
 //! aisle-seat example).
 
-use qdb_logic::{Atom, ResourceTransaction};
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+use qdb_logic::{Atom, ResourceTransaction, Term, Var};
 use qdb_solver::CachedSolution;
 
 use crate::txn::PendingTxn;
@@ -58,8 +61,11 @@ pub struct Partition {
     /// submit). Strictly an acceleration of `cache` — it MUST be cleared
     /// (via [`Partition::invalidate_solution_caches`]) whenever
     /// `cache.valuations` changes in any way other than appending the
-    /// newcomer the overlay solve itself admitted; admission rebuilds it
-    /// lazily, and debug builds assert it matches a fresh rebuild.
+    /// newcomer the overlay solve itself admitted, or a front-move
+    /// grounding that installs the plan's rebased overlay (the residue's
+    /// verified virtual state over the post-grounding base); admission
+    /// rebuilds it lazily, and debug builds assert it matches a fresh
+    /// rebuild.
     pub(crate) overlay_cache: Option<qdb_solver::Overlay>,
 }
 
@@ -151,6 +157,17 @@ impl Partition {
         (txn, val)
     }
 
+    /// A copy of the pending transactions and their cached solution,
+    /// without what is derived from them (alternatives, admission
+    /// overlay) — for readers and scratch planning, which use neither.
+    pub fn clone_pending(&self) -> Partition {
+        Partition {
+            txns: self.txns.clone(),
+            cache: self.cache.clone(),
+            ..Partition::default()
+        }
+    }
+
     /// Overlap summary of this partition's current contents.
     pub fn footprint(&self) -> Footprint {
         let mut fp = Footprint::default();
@@ -162,7 +179,7 @@ impl Partition {
 }
 
 /// A partition's overlap summary: the atoms of its pending transactions,
-/// split into update atoms and body atoms.
+/// split into update atoms and body atoms, as counted multisets.
 ///
 /// The sharded engine keeps one `Footprint` per partition in its registry,
 /// *outside* the partition's lock, so overlap scans (which partitions
@@ -171,12 +188,114 @@ impl Partition {
 /// that a partition's published footprint is a superset of the atoms of
 /// every transaction that will ever enter the partition, so a scan that
 /// sees no overlap can safely skip the partition without locking it.
-#[derive(Debug, Clone, Default)]
+///
+/// Each atom is stored with its variables erased — relation, arity and
+/// the constant at each position are all that [`Atom::may_overlap`] looks
+/// at — and counted, so the same shape from many transactions is one
+/// entry. Counting is what makes the summary *maintainable*: admission
+/// adds the newcomer's atoms ([`Footprint::absorb_txn`]), grounding and
+/// refusal take theirs back out ([`Footprint::retire_txn`]), and a
+/// published footprint equals, as a multiset, the one rebuilt from its
+/// partition's contents ([`Partition::footprint`]) — never rebuilt on the
+/// hot path.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Footprint {
     /// Atoms written (inserted or deleted) by the pending transactions.
-    update_atoms: Vec<Atom>,
+    update_atoms: BTreeMap<ErasedAtom, usize>,
     /// Body (read) atoms of the pending transactions.
-    body_atoms: Vec<Atom>,
+    body_atoms: BTreeMap<ErasedAtom, usize>,
+}
+
+/// An atom with every variable replaced by one shared placeholder: the
+/// part of an atom [`Atom::may_overlap`] depends on, usable as a map key.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct ErasedAtom(Atom);
+
+/// The variable every erased position holds.
+fn placeholder() -> Term {
+    static PLACEHOLDER: std::sync::OnceLock<Var> = std::sync::OnceLock::new();
+    Term::Var(PLACEHOLDER.get_or_init(|| Var::new(u32::MAX, "_")).clone())
+}
+
+impl ErasedAtom {
+    fn of(atom: &Atom) -> Self {
+        ErasedAtom(Atom {
+            relation: Arc::clone(&atom.relation),
+            terms: atom
+                .terms
+                .iter()
+                .map(|t| match t {
+                    Term::Var(_) => placeholder(),
+                    Term::Const(c) => Term::Const(c.clone()),
+                })
+                .collect(),
+        })
+    }
+}
+
+impl Ord for ErasedAtom {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (&self.0.relation, &self.0.terms).cmp(&(&other.0.relation, &other.0.terms))
+    }
+}
+
+impl PartialOrd for ErasedAtom {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+fn count_in<'a>(map: &mut BTreeMap<ErasedAtom, usize>, atoms: impl Iterator<Item = &'a Atom>) {
+    for atom in atoms {
+        *map.entry(ErasedAtom::of(atom)).or_insert(0) += 1;
+    }
+}
+
+fn count_out<'a>(map: &mut BTreeMap<ErasedAtom, usize>, atoms: impl Iterator<Item = &'a Atom>) {
+    for atom in atoms {
+        let key = ErasedAtom::of(atom);
+        let n = map
+            .get_mut(&key)
+            .expect("retired atom was counted into the footprint");
+        *n -= 1;
+        if *n == 0 {
+            map.remove(&key);
+        }
+    }
+}
+
+/// Does any key of `map` may-overlap `atom`? Only keys that can are
+/// scanned: keys sort by relation, then terms, with the placeholder before
+/// every constant, so those of `atom`'s relation are one range — narrowed,
+/// when `atom` starts with a constant `c`, to the keys starting with the
+/// placeholder or with `c`. [`Atom::may_overlap`] decides each one.
+fn any_overlaps(map: &BTreeMap<ErasedAtom, usize>, atom: &Atom) -> bool {
+    let scan = |first: Option<Term>| {
+        let from = ErasedAtom(Atom {
+            relation: Arc::clone(&atom.relation),
+            terms: first.iter().cloned().collect(),
+        });
+        map.range(from..)
+            .map(|(k, _)| &k.0)
+            .take_while(|k| {
+                k.relation == atom.relation
+                    && (first.is_none() || k.terms.first() == first.as_ref())
+            })
+            .any(|k| k.may_overlap(atom))
+    };
+    match atom.terms.first() {
+        Some(c @ Term::Const(_)) => scan(Some(placeholder())) || scan(Some(c.clone())),
+        _ => scan(None),
+    }
+}
+
+fn merge_counts(into: &mut BTreeMap<ErasedAtom, usize>, mut from: BTreeMap<ErasedAtom, usize>) {
+    if from.len() > into.len() {
+        std::mem::swap(into, &mut from);
+    }
+    for (key, n) in from {
+        *into.entry(key).or_insert(0) += n;
+    }
 }
 
 impl Footprint {
@@ -189,31 +308,49 @@ impl Footprint {
 
     /// Add one transaction's atoms.
     pub fn absorb_txn(&mut self, txn: &ResourceTransaction) {
-        self.update_atoms
-            .extend(txn.updates.iter().map(|u| u.atom.clone()));
-        self.body_atoms
-            .extend(txn.body.iter().map(|b| b.atom.clone()));
+        count_in(&mut self.update_atoms, txn.updates.iter().map(|u| &u.atom));
+        count_in(&mut self.body_atoms, txn.body.iter().map(|b| &b.atom));
     }
 
-    /// Merge another footprint in (partition merge).
-    pub fn absorb(&mut self, other: &Footprint) {
-        self.update_atoms.extend_from_slice(&other.update_atoms);
-        self.body_atoms.extend_from_slice(&other.body_atoms);
+    /// Take one transaction's atoms back out (it was grounded or
+    /// refused). The transaction must have been absorbed before.
+    pub fn retire_txn(&mut self, txn: &ResourceTransaction) {
+        count_out(&mut self.update_atoms, txn.updates.iter().map(|u| &u.atom));
+        count_out(&mut self.body_atoms, txn.body.iter().map(|b| &b.atom));
+    }
+
+    /// Merge another footprint in (partition merge). Costs the size of
+    /// the smaller of the two.
+    pub fn absorb(&mut self, other: Footprint) {
+        merge_counts(&mut self.update_atoms, other.update_atoms);
+        merge_counts(&mut self.body_atoms, other.body_atoms);
+    }
+
+    /// Take another footprint's atoms back out; every one must be
+    /// counted here.
+    pub fn retire(&mut self, other: &Footprint) {
+        for (map, from) in [
+            (&mut self.update_atoms, &other.update_atoms),
+            (&mut self.body_atoms, &other.body_atoms),
+        ] {
+            for (key, &n) in from {
+                let have = map
+                    .get_mut(key)
+                    .expect("retired atom was counted into the footprint");
+                *have -= n;
+                if *have == 0 {
+                    map.remove(key);
+                }
+            }
+        }
     }
 
     /// Could `txn` be dependent on the summarized partition? Mirrors
     /// [`transactions_overlap`]: a write/read or write/write conflict —
     /// an update atom of one side may-overlapping any atom of the other.
     pub fn overlaps_txn(&self, txn: &ResourceTransaction) -> bool {
-        self.update_atoms
-            .iter()
-            .any(|ua| all_atoms(txn).any(|ta| ua.may_overlap(ta)))
-            || txn.updates.iter().any(|u| {
-                self.update_atoms
-                    .iter()
-                    .chain(self.body_atoms.iter())
-                    .any(|a| u.atom.may_overlap(a))
-            })
+        all_atoms(txn).any(|ta| any_overlaps(&self.update_atoms, ta))
+            || txn.updates.iter().any(|u| self.touched_by_write(&u.atom))
     }
 
     /// Could answering a query over `atoms` observe the summarized pending
@@ -222,19 +359,14 @@ impl Footprint {
     /// overlays — a partition whose updates cannot unify with any query
     /// atom cannot change the query's answer in any possible world.
     pub fn touched_by_query(&self, atoms: &[Atom]) -> bool {
-        self.update_atoms
-            .iter()
-            .any(|ua| atoms.iter().any(|qa| qa.may_overlap(ua)))
+        atoms.iter().any(|qa| any_overlaps(&self.update_atoms, qa))
     }
 
     /// Could a blind write of `atom` (a fully-constant tuple) interact
     /// with the summarized partition? Conservative over *all* atoms, like
     /// the engine's write-admission check.
     pub fn touched_by_write(&self, atom: &Atom) -> bool {
-        self.update_atoms
-            .iter()
-            .chain(self.body_atoms.iter())
-            .any(|a| a.may_overlap(atom))
+        any_overlaps(&self.update_atoms, atom) || any_overlaps(&self.body_atoms, atom)
     }
 }
 
@@ -344,8 +476,102 @@ mod tests {
         assert!(!fp.touched_by_write(&unrelated));
         // Merged footprints cover both sides.
         let mut merged = fp.clone();
-        merged.absorb(&Footprint::of_txn(&book_flight(2, "D")));
+        merged.absorb(Footprint::of_txn(&book_flight(2, "D")));
         assert!(merged.overlaps_txn(&book_flight(2, "X")));
+    }
+
+    #[test]
+    fn footprint_counts_erased_atoms() {
+        // Two bookings on flight 1 share the `Available(1, _)` shape: one
+        // entry counted twice, whatever their variables are named.
+        let a = book_flight(1, "M");
+        let b = book_flight(1, "D");
+        let mut fp = Footprint::of_txn(&a);
+        fp.absorb_txn(&b);
+        let mut both = Footprint::of_txn(&b);
+        both.absorb(Footprint::of_txn(&a));
+        assert_eq!(fp, both, "multiset equality ignores arrival order");
+        // Retiring one keeps the shared shape alive for the other.
+        fp.retire_txn(&a);
+        assert_eq!(fp, Footprint::of_txn(&b));
+        assert!(fp.overlaps_txn(&book_flight(1, "X")));
+        let q = qdb_logic::parse_query("Bookings('M', f, s)").unwrap();
+        assert!(!fp.touched_by_query(&q.atoms));
+        // Retiring a whole footprint empties it.
+        fp.retire(&Footprint::of_txn(&b));
+        assert_eq!(fp, Footprint::default());
+        assert!(!fp.overlaps_txn(&book_flight(1, "X")));
+    }
+
+    #[test]
+    fn footprint_answers_match_brute_force_scans() {
+        // Atoms mix variables and constants in every position (the first
+        // one included, which the key ranges are narrowed on), over two
+        // relations and two arities.
+        let mut state = 7u64;
+        let mut pick = |n: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % n
+        };
+        let term = |vars: &[&str], pick: &mut dyn FnMut(u64) -> u64| -> String {
+            match pick(5) {
+                0 => "1".into(),
+                1 => "2".into(),
+                2 => "'a'".into(),
+                _ => vars[pick(vars.len() as u64) as usize].to_string(),
+            }
+        };
+        let atom = |vars: &[&str], pick: &mut dyn FnMut(u64) -> u64| -> String {
+            let rel = ["R", "S"][pick(2) as usize];
+            let arity = 1 + pick(2) as usize;
+            let terms: Vec<String> = (0..arity).map(|_| term(vars, pick)).collect();
+            format!("{rel}({})", terms.join(", "))
+        };
+        for _ in 0..60 {
+            let mut txns = Vec::new();
+            for _ in 0..1 + pick(4) {
+                let body = atom(&["x", "y"], &mut pick);
+                let body_vars: Vec<&str> = ["x", "y"]
+                    .into_iter()
+                    .filter(|v| body.contains(v))
+                    .collect();
+                let vars = if body_vars.is_empty() {
+                    vec!["1"]
+                } else {
+                    body_vars
+                };
+                let upd = atom(&vars, &mut pick);
+                let sign = if pick(2) == 0 { '+' } else { '-' };
+                txns.push(parse_transaction(&format!("{sign}{upd} :-1 {body}")).unwrap());
+            }
+            let mut fp = Footprint::default();
+            for t in &txns {
+                fp.absorb_txn(t);
+            }
+            for _ in 0..20 {
+                let body = atom(&["u", "w"], &mut pick);
+                let probe = parse_transaction(&format!("+{body} :-1 {body}")).unwrap();
+                assert_eq!(
+                    fp.overlaps_txn(&probe),
+                    txns.iter().any(|t| transactions_overlap(t, &probe)),
+                    "overlaps_txn: {probe:?}"
+                );
+                let q = qdb_logic::parse_query(&atom(&["u", "w"], &mut pick)).unwrap();
+                assert_eq!(
+                    fp.touched_by_query(&q.atoms),
+                    txns.iter().any(|t| crate::read::read_affects(t, &q.atoms)),
+                    "touched_by_query: {q:?}"
+                );
+                let w = &q.atoms[0];
+                assert_eq!(
+                    fp.touched_by_write(w),
+                    txns.iter().any(|t| all_atoms(t).any(|a| a.may_overlap(w))),
+                    "touched_by_write: {w:?}"
+                );
+            }
+        }
     }
 
     #[test]

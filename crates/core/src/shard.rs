@@ -64,6 +64,18 @@
 //! one; any operation that locked a slot through a stale `Arc` sees
 //! `dead` and rescans the registry.
 //!
+//! Registered footprints are exact counted multisets (see [`Footprint`]),
+//! which meets the superset invariant with equality. The claim *moves*
+//! the claimed footprints into the host's; a transaction leaving a slot
+//! (grounded, or refused after the claim counted it in) is counted into
+//! the slot's `retired` footprint, and `publish` subtracts that — it
+//! never rebuilds a footprint from a partition. A drain hands the
+//! drained slot's unpublished `retired` to the claimant, whose footprint
+//! absorbed the drained one. Whenever a slot lock is free its registered
+//! footprint is its contents plus `retired`, so every publish leaves it
+//! equal to the footprint rebuilt from the partition (debug builds
+//! assert this).
+//!
 //! `GROUND ALL` is a reservation whose target set is the whole registry:
 //! it registers one host entry carrying the union of every claimed
 //! footprint and holds its slot lock from before the drain until the
@@ -87,6 +99,12 @@
 //! only adds empty tables, and bulk-insert fast paths only *add* tuples —
 //! positive conjunctive bodies stay satisfied and planned deletes stay
 //! executable under insertions.
+//!
+//! The same argument keeps a partition's admission overlay valid across
+//! a grounding: the plan carries the residue's virtual state rebased onto
+//! the base its updates produce, and that overlay's deltas hold only
+//! tuples this partition writes, which no other partition's apply can
+//! touch in between.
 //!
 //! ```
 //! use qdb_core::{QuantumDb, QuantumDbConfig, Response};
@@ -157,10 +175,30 @@ struct Slot {
 /// Contents of a slot. `dead` means the partition's contents were drained
 /// into a newer slot (or fully grounded away); holders of a stale `Arc`
 /// must rescan the registry.
+///
+/// `retired` counts the atoms of transactions that left `part` (grounded,
+/// or refused after the reservation counted them in) since the slot's
+/// registered footprint was last published. Whenever the slot lock is
+/// free, the registered footprint equals the footprint of `part` plus
+/// `retired`; `publish` subtracts `retired`, and a drain hands it to the
+/// claimant, whose footprint absorbed this one.
 #[derive(Default)]
 struct SlotState {
     part: Partition,
     dead: bool,
+    retired: Footprint,
+}
+
+impl Slot {
+    /// A live slot holding `part`.
+    fn holding(part: Partition) -> Arc<Slot> {
+        Arc::new(Slot {
+            state: Mutex::new(SlotState {
+                part,
+                ..SlotState::default()
+            }),
+        })
+    }
 }
 
 /// Registry entry: the overlap summary plus the slot it summarizes.
@@ -188,9 +226,7 @@ impl Registry {
             pid,
             Entry {
                 footprint: part.footprint(),
-                slot: Arc::new(Slot {
-                    state: Mutex::new(SlotState { part, dead: false }),
-                }),
+                slot: Slot::holding(part),
             },
         );
     }
@@ -307,9 +343,7 @@ impl SharedQuantumDb {
                 pid,
                 Entry {
                     footprint: part.footprint(),
-                    slot: Arc::new(Slot {
-                        state: Mutex::new(SlotState { part, dead: false }),
-                    }),
+                    slot: Slot::holding(part),
                 },
             );
         }
@@ -533,10 +567,10 @@ impl SharedQuantumDb {
             if merged_from == 1 {
                 // Preserve the partition wholesale (keeps its alternative
                 // cached solutions, which a merge would invalidate).
-                host = self.drain(&targets[0].1);
+                host = self.drain(&targets[0].1, &mut st.retired);
             } else {
                 for (_, slot) in &targets {
-                    host.merge(self.drain(slot));
+                    host.merge(self.drain(slot, &mut st.retired));
                 }
             }
 
@@ -580,6 +614,8 @@ impl SharedQuantumDb {
                     // memo.
                     host.overlay_cache = overlay;
                     st.part = host;
+                    // The reservation counted the newcomer in.
+                    st.retired.absorb_txn(txn);
                     self.publish(pid, &mut st);
                     {
                         let t = self.core.metrics.begin();
@@ -610,9 +646,7 @@ impl SharedQuantumDb {
                 id
             };
             host.txns.push(PendingTxn::new(id, txn.clone()));
-            host.cache = CachedSolution {
-                valuations: plan.valuations,
-            };
+            plan.cache.apply_to(&mut host.cache);
             host.extras = plan.extras;
             host.overlay_cache = plan.overlay;
             debug_assert_eq!(host.txns.len(), host.cache.len());
@@ -640,15 +674,8 @@ impl SharedQuantumDb {
             // as both coordination partners are in the system.
             if self.core.config.ground_on_partner_arrival {
                 let mut partners = {
-                    let new_txn = &st.part.txns.last().expect("just installed").txn;
-                    let others: Vec<PendingTxn> = st
-                        .part
-                        .txns
-                        .iter()
-                        .filter(|p| p.id != id)
-                        .cloned()
-                        .collect();
-                    coordination_partners(new_txn, &others)
+                    let (new, others) = st.part.txns.split_last().expect("just installed");
+                    coordination_partners(&new.txn, others)
                 };
                 if !partners.is_empty() {
                     partners.push(id);
@@ -709,7 +736,7 @@ impl SharedQuantumDb {
         let mut targets = Vec::with_capacity(target_pids.len());
         for pid in &target_pids {
             let e = reg.slots.remove(pid).expect("scanned above");
-            footprint.absorb(&e.footprint);
+            footprint.absorb(e.footprint);
             targets.push((*pid, e.slot));
         }
         let pid = reg.next_pid;
@@ -725,34 +752,49 @@ impl SharedQuantumDb {
     }
 
     /// Take a reserved slot's contents (waits for any in-flight operation
-    /// on it to finish) and mark it dead for stale-`Arc` holders.
-    fn drain(&self, slot: &Arc<Slot>) -> Partition {
+    /// on it to finish) and mark it dead for stale-`Arc` holders. The
+    /// slot's not-yet-published retirements move into `retired`: the
+    /// claimant's footprint absorbed the slot's registered one, so they
+    /// are the claimant's to subtract now.
+    fn drain(&self, slot: &Arc<Slot>, retired: &mut Footprint) -> Partition {
         let mut st = self.lock_slot(slot);
         st.dead = true;
+        retired.absorb(std::mem::take(&mut st.retired));
         std::mem::take(&mut st.part)
     }
 
-    /// Re-publish a partition's footprint after its contents changed;
-    /// removes (and kills) the registration when it grounded empty. Must
-    /// be called while holding the slot's lock.
+    /// Re-publish a partition's footprint after its contents changed:
+    /// subtract the atoms retired since the last publish (O(retired), the
+    /// footprint is never rebuilt from the partition), or remove (and
+    /// kill) the registration when the partition grounded empty. Must be
+    /// called while holding the slot's lock.
     fn publish(&self, pid: u64, st: &mut SlotState) {
         let mut reg = self.core.reg.lock();
+        let Some(e) = reg.slots.get_mut(&pid) else {
+            // A reservation already claimed this slot and will drain
+            // whatever state we leave behind, `retired` included.
+            return;
+        };
         if st.part.is_empty() {
-            if reg.slots.remove(&pid).is_some() {
-                st.dead = true;
-            }
-        } else if let Some(e) = reg.slots.get_mut(&pid) {
-            e.footprint = st.part.footprint();
+            reg.slots.remove(&pid);
+            st.dead = true;
+        } else {
+            e.footprint.retire(&st.retired);
+            debug_assert_eq!(
+                e.footprint,
+                st.part.footprint(),
+                "registered footprint drifted from the partition's contents"
+            );
         }
-        // Entry absent: a reservation already claimed this slot and will
-        // drain whatever state we leave behind — nothing to publish.
+        st.retired = Footprint::default();
     }
 
     // -- Grounding --------------------------------------------------------
 
     /// Ground `ids` within the held partition, honoring the configured
     /// serializability: plan under a base read (parallel with other
-    /// partitions' solves), apply under the base write lock.
+    /// partitions' solves), apply under the base write lock. Timed as
+    /// [`qdb_obs::Phase::Ground`].
     fn ground_in_slot(
         &self,
         st: &mut SlotState,
@@ -763,16 +805,20 @@ impl SharedQuantumDb {
         if st.part.is_empty() {
             return Ok(());
         }
-        let ids = expand_partners(&st.part, ids);
-        match self.core.config.serializability {
-            crate::Serializability::Semantic => {
-                if self.try_ground_group(st, &ids, reason, solver)? {
-                    return Ok(());
+        self.core.obs.time(qdb_obs::Phase::Ground, || {
+            let ids = expand_partners(&st.part, ids);
+            match self.core.config.serializability {
+                crate::Serializability::Semantic => {
+                    if self.try_ground_group(st, &ids, reason, solver)? {
+                        return Ok(());
+                    }
+                    self.ground_strict_through(st, &ids, reason, solver)
                 }
-                self.ground_strict_through(st, &ids, reason, solver)
+                crate::Serializability::Strict => {
+                    self.ground_strict_through(st, &ids, reason, solver)
+                }
             }
-            crate::Serializability::Strict => self.ground_strict_through(st, &ids, reason, solver),
-        }
+        })
     }
 
     fn ground_strict_through(
@@ -805,7 +851,7 @@ impl SharedQuantumDb {
         let Some(plan) = plan else {
             return Ok(false);
         };
-        self.commit_plan(st, &plan, reason)?;
+        self.commit_plan(st, plan, reason)?;
         Ok(true)
     }
 
@@ -815,7 +861,7 @@ impl SharedQuantumDb {
     fn commit_plan(
         &self,
         st: &mut SlotState,
-        plan: &GroundPlan,
+        mut plan: GroundPlan,
         reason: GroundReason,
     ) -> Result<()> {
         {
@@ -855,7 +901,9 @@ impl SharedQuantumDb {
                 });
             }
         }
-        apply_plan_to_partition(&mut st.part, plan);
+        for t in apply_plan_to_partition(&mut st.part, &mut plan) {
+            st.retired.absorb_txn(&t.txn);
+        }
         Ok(())
     }
 
@@ -926,6 +974,13 @@ impl SharedQuantumDb {
     /// racy before/after pending read (`GROUND ALL` responses use this).
     pub(crate) fn ground_all_counted(&self) -> Result<usize> {
         let _c = self.coarse();
+        self.core
+            .obs
+            .time(qdb_obs::Phase::Ground, || self.collapse_all())
+    }
+
+    /// The body of [`SharedQuantumDb::ground_all_counted`].
+    fn collapse_all(&self) -> Result<usize> {
         // Claim every partition under one freshly registered host entry
         // whose footprint is the union of the claimed footprints, and hold
         // the host slot's lock for the whole collapse. Without the claim,
@@ -939,9 +994,17 @@ impl SharedQuantumDb {
             self.claim_locked(&host_slot, Footprint::default(), |_| true);
         let mut parts: Vec<Partition> = taken
             .iter()
-            .map(|(_, slot)| self.drain(slot))
+            .map(|(_, slot)| self.drain(slot, &mut host.retired))
             .filter(|p| !p.is_empty())
             .collect();
+        // The host registered the union of the claimed footprints but
+        // holds no contents itself: all of it is retired once the
+        // collapse lands (`reinstall` hands survivors back).
+        for part in &parts {
+            for t in &part.txns {
+                host.retired.absorb_txn(&t.txn);
+            }
+        }
         if parts.is_empty() {
             self.publish(host_pid, &mut host);
             return Ok(0);
@@ -979,7 +1042,7 @@ impl SharedQuantumDb {
                         loop {
                             let i = next.fetch_add(1, SeqCst) as usize;
                             let Some(part) = parts.get(i) else { break };
-                            let mut scratch = part.clone();
+                            let mut scratch = part.clone_pending();
                             let planned = crate::ground::plan_ground_all_partition(
                                 &mut solver,
                                 db,
@@ -1125,6 +1188,9 @@ impl SharedQuantumDb {
             }
         } else {
             for part in parts {
+                for t in &part.txns {
+                    host.retired.retire_txn(&t.txn);
+                }
                 host.part.merge(part);
             }
         }
@@ -1170,28 +1236,23 @@ impl SharedQuantumDb {
             if st.dead {
                 continue;
             }
-            let target = st
+            let Some(target) = st
                 .part
                 .txns
                 .iter()
                 .find(|pt| crate::read::read_affects(&pt.txn, atoms))
-                .map(|pt| (pt.id, pt.txn.clone()));
-            let Some((id, target_txn)) = target else {
-                // The footprint over-approximated (stale after earlier
-                // groundings): shrink it so the scan progresses.
+            else {
+                // A concurrent grounding removed the matching transactions
+                // after the scan read this footprint: publish (settling any
+                // retirements still pending) and rescan.
                 self.publish(pid, &mut st);
                 continue;
             };
             // Pull in coordination partners so a read does not needlessly
             // split a pair that could still coordinate.
-            let others: Vec<PendingTxn> = st
-                .part
-                .txns
-                .iter()
-                .filter(|p| p.id != id)
-                .cloned()
-                .collect();
-            let mut ids = coordination_partners(&target_txn, &others);
+            let id = target.id;
+            let mut ids =
+                coordination_partners(&target.txn, st.part.txns.iter().filter(|p| p.id != id));
             ids.push(id);
             self.ground_in_slot(&mut st, &ids, GroundReason::Read, solver)?;
             self.publish(pid, &mut st);
@@ -1290,7 +1351,7 @@ impl SharedQuantumDb {
                 }
                 guards.push(st);
             }
-            let parts: Vec<Partition> = guards.iter().map(|g| g.part.clone()).collect();
+            let parts: Vec<Partition> = guards.iter().map(|g| g.part.clone_pending()).collect();
             let base = self.base_read();
             drop(guards);
             return f(&base.db, parts);
@@ -1594,6 +1655,42 @@ impl SharedQuantumDb {
                 ids.extend(st.part.txns.iter().map(|t| t.id));
             }
             return ids.into_iter().collect();
+        }
+    }
+
+    /// Each registered partition's published footprint next to the
+    /// footprint rebuilt from the partition's contents — an audit of the
+    /// registry's bookkeeping. The two are equal (as counted multisets)
+    /// whenever no statement is in flight; the scan retries on dead slots
+    /// like [`SharedQuantumDb::pending_ids`].
+    pub fn registered_footprints(&self) -> Vec<(Footprint, Footprint)> {
+        'retry: loop {
+            let snapshot: Vec<(u64, Arc<Slot>)> = {
+                let reg = self.core.reg.lock();
+                reg.slots
+                    .iter()
+                    .map(|(&pid, e)| (pid, Arc::clone(&e.slot)))
+                    .collect()
+            };
+            let mut out = Vec::with_capacity(snapshot.len());
+            for (pid, slot) in snapshot {
+                let st = self.lock_slot(&slot);
+                if st.dead {
+                    continue 'retry;
+                }
+                let registered = self
+                    .core
+                    .reg
+                    .lock()
+                    .slots
+                    .get(&pid)
+                    .map(|e| e.footprint.clone());
+                let Some(registered) = registered else {
+                    continue 'retry; // claimed, not yet drained
+                };
+                out.push((registered, st.part.footprint()));
+            }
+            return out;
         }
     }
 

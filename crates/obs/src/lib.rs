@@ -60,10 +60,15 @@ pub enum Phase {
     PartitionLockWait = 7,
     /// Possible-world enumeration for `SELECT POSSIBLE`.
     WorldEnum = 8,
+    /// Grounding pending transactions — on partner arrival, past the `k`
+    /// bound, for a collapsing read, or on `GROUND` / `GROUND ALL`:
+    /// planning, apply and the partition update, with the solve, apply,
+    /// lock-wait and WAL phases it contains nested inside.
+    Ground = 9,
 }
 
 /// Number of [`Phase`] variants (histogram array length).
-pub const PHASE_COUNT: usize = 9;
+pub const PHASE_COUNT: usize = 10;
 
 /// All phases in `repr` order.
 pub const PHASES: [Phase; PHASE_COUNT] = [
@@ -76,6 +81,7 @@ pub const PHASES: [Phase; PHASE_COUNT] = [
     Phase::BaseLockWait,
     Phase::PartitionLockWait,
     Phase::WorldEnum,
+    Phase::Ground,
 ];
 
 impl Phase {
@@ -91,6 +97,7 @@ impl Phase {
             Phase::BaseLockWait => "base_lock_wait",
             Phase::PartitionLockWait => "partition_lock_wait",
             Phase::WorldEnum => "world_enum",
+            Phase::Ground => "ground",
         }
     }
 }

@@ -269,7 +269,12 @@ impl Obs {
                     .filter(|t| *t != SpanEvent::NONE)
             })
             .unwrap_or(SpanEvent::NONE);
-        self.class_histogram(token.class).record(dur_ns);
+        // Created and first recorded under one map lock: a concurrent
+        // `profile()` never sees a class entry with no observation.
+        lock(&self.classes)
+            .entry(token.class)
+            .or_default()
+            .record(dur_ns);
         self.ring.push(SpanEvent {
             ts_ns: token.ts_ns,
             txn_id: txn,

@@ -388,6 +388,38 @@ impl Overlay {
         })
     }
 
+    /// Re-express the deltas against `base + ops` instead of `base`,
+    /// leaving the virtual state unchanged — used when a grounding makes
+    /// `ops` real while the overlay's state stays the admission state of
+    /// the pending transactions that remain. `ops` must apply cleanly to
+    /// `base` in order (the tuple a later op touches is decided by that
+    /// op). Only the tuples `ops` touch can change their delta entry, so
+    /// this costs O(ops), not O(overlay). The journal describes history
+    /// relative to the old base and is dropped: marks taken before a
+    /// rebase are invalid.
+    pub fn rebase(&mut self, base: &Database, ops: &[WriteOp]) -> Result<()> {
+        // Base membership after `ops`, per touched tuple: the last op wins.
+        let mut after: std::collections::BTreeMap<(RelationId, &Tuple), bool> =
+            std::collections::BTreeMap::new();
+        for op in ops {
+            let rid = base.resolve(op.relation()).map_err(SolverError::Storage)?;
+            after.insert((rid, op.tuple()), op.is_insert());
+        }
+        for ((rid, tuple), in_new_base) in after {
+            let visible = self.visible_id(base, rid, tuple);
+            let rel = self.rel_mut(rid);
+            rel.inserts.remove(tuple);
+            rel.deletes.remove(tuple);
+            if visible && !in_new_base {
+                rel.inserts.insert(tuple.clone());
+            } else if !visible && in_new_base {
+                rel.deletes.insert(tuple.clone());
+            }
+        }
+        self.journal.clear();
+        Ok(())
+    }
+
     /// Materialize the overlay into the base database (used when grounding
     /// is final rather than speculative). Consumes the overlay.
     pub fn commit_into(self, base: &mut Database) -> Result<()> {
@@ -642,6 +674,53 @@ mod tests {
         ov.commit_into(&mut db).unwrap();
         assert!(!db.contains("A", &tuple![1, "1A"]));
         assert!(db.contains("A", &tuple![7, "7A"]));
+    }
+
+    #[test]
+    fn rebase_matches_a_fresh_overlay_over_the_new_base() {
+        let db = base();
+        // A grounded group's ops, then the remaining pending ops — one of
+        // which re-inserts the tuple the group deletes.
+        let group = [
+            WriteOp::delete("A", tuple![1, "1A"]),
+            WriteOp::insert("A", tuple![2, "2A"]),
+            WriteOp::delete("A", tuple![2, "2A"]),
+            WriteOp::insert("A", tuple![3, "3A"]),
+        ];
+        let rest = [
+            WriteOp::delete("A", tuple![1, "1B"]),
+            WriteOp::insert("A", tuple![1, "1A"]),
+            WriteOp::delete("A", tuple![3, "3A"]),
+            WriteOp::insert("A", tuple![4, "4A"]),
+        ];
+        let mut ov = Overlay::new();
+        for op in group.iter().chain(&rest) {
+            ov.apply(&db, op).unwrap();
+        }
+        ov.rebase(&db, &group).unwrap();
+        assert_eq!(ov.journal_len(), 0);
+
+        let mut grounded = db.clone();
+        for op in &group {
+            grounded.apply(op).unwrap();
+        }
+        let mut fresh = Overlay::new();
+        for op in &rest {
+            fresh.apply(&grounded, op).unwrap();
+        }
+        assert!(ov.same_deltas(&fresh));
+        for t in [
+            tuple![1, "1A"],
+            tuple![1, "1B"],
+            tuple![2, "2A"],
+            tuple![3, "3A"],
+            tuple![4, "4A"],
+        ] {
+            assert_eq!(
+                ov.visible(&grounded, "A", &t),
+                fresh.visible(&grounded, "A", &t)
+            );
+        }
     }
 
     #[test]

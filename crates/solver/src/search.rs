@@ -14,6 +14,8 @@
 //! `Vec`), and the dynamic atom ordering reads index bucket lengths where
 //! an index serves the bound column.
 
+use std::borrow::Borrow;
+
 use qdb_logic::{Atom, Term, UpdateKind, Valuation, Var};
 use qdb_storage::{Database, RelationId, Tuple, Value, WriteOp};
 
@@ -224,27 +226,45 @@ impl Solver {
         specs: &[TxnSpec<'_>],
         valuations: &[Valuation],
     ) -> Result<bool> {
-        self.timed(|s| s.verify_inner(base, pre_ops, specs, valuations))
+        self.timed(|s| {
+            let mut overlay = Overlay::new();
+            for op in pre_ops {
+                overlay.apply(base, op)?;
+            }
+            s.verify_in_inner(base, &mut overlay, specs, valuations)
+        })
     }
 
-    fn verify_inner(
+    /// [`Solver::verify`] against a caller-provided virtual state. On
+    /// success the overlay is left with every spec's updates **applied**
+    /// under its valuation (the caller may keep it as the verified
+    /// virtual state); after a failed check its contents are unspecified
+    /// and must be discarded.
+    pub fn verify_in<V: Borrow<Valuation>>(
         &mut self,
         base: &Database,
-        pre_ops: &[WriteOp],
+        overlay: &mut Overlay,
         specs: &[TxnSpec<'_>],
-        valuations: &[Valuation],
+        valuations: &[V],
+    ) -> Result<bool> {
+        self.timed(|s| s.verify_in_inner(base, overlay, specs, valuations))
+    }
+
+    fn verify_in_inner<V: Borrow<Valuation>>(
+        &mut self,
+        base: &Database,
+        overlay: &mut Overlay,
+        specs: &[TxnSpec<'_>],
+        valuations: &[V],
     ) -> Result<bool> {
         self.stats.verifies += 1;
         if specs.len() != valuations.len() {
             self.stats.verify_failures += 1;
             return Ok(false);
         }
-        let mut overlay = Overlay::new();
-        for op in pre_ops {
-            overlay.apply(base, op)?;
-        }
         let resolved = resolve_specs(base, specs)?;
         for ((spec, val), rspec) in specs.iter().zip(valuations).zip(&resolved) {
+            let val = val.borrow();
             for (atom, &rid) in spec.atoms().iter().zip(&rspec.atom_rids) {
                 let tuple = match atom.ground(val) {
                     Ok(t) => t,

@@ -194,7 +194,7 @@ impl Partition {
 /// at — and counted, so the same shape from many transactions is one
 /// entry. Counting is what makes the summary *maintainable*: admission
 /// adds the newcomer's atoms ([`Footprint::absorb_txn`]), grounding and
-/// refusal take theirs back out ([`Footprint::retire_txn`]), and a
+/// refusal take theirs back out ([`Footprint::retire`]), and a
 /// published footprint equals, as a multiset, the one rebuilt from its
 /// partition's contents ([`Partition::footprint`]) — never rebuilt on the
 /// hot path.
@@ -251,19 +251,6 @@ fn count_in<'a>(map: &mut BTreeMap<ErasedAtom, usize>, atoms: impl Iterator<Item
     }
 }
 
-fn count_out<'a>(map: &mut BTreeMap<ErasedAtom, usize>, atoms: impl Iterator<Item = &'a Atom>) {
-    for atom in atoms {
-        let key = ErasedAtom::of(atom);
-        let n = map
-            .get_mut(&key)
-            .expect("retired atom was counted into the footprint");
-        *n -= 1;
-        if *n == 0 {
-            map.remove(&key);
-        }
-    }
-}
-
 /// Does any key of `map` may-overlap `atom`? Only keys that can are
 /// scanned: keys sort by relation, then terms, with the placeholder before
 /// every constant, so those of `atom`'s relation are one range — narrowed,
@@ -312,13 +299,6 @@ impl Footprint {
         count_in(&mut self.body_atoms, txn.body.iter().map(|b| &b.atom));
     }
 
-    /// Take one transaction's atoms back out (it was grounded or
-    /// refused). The transaction must have been absorbed before.
-    pub fn retire_txn(&mut self, txn: &ResourceTransaction) {
-        count_out(&mut self.update_atoms, txn.updates.iter().map(|u| &u.atom));
-        count_out(&mut self.body_atoms, txn.body.iter().map(|b| &b.atom));
-    }
-
     /// Merge another footprint in (partition merge). Costs the size of
     /// the smaller of the two.
     pub fn absorb(&mut self, other: Footprint) {
@@ -326,8 +306,8 @@ impl Footprint {
         merge_counts(&mut self.body_atoms, other.body_atoms);
     }
 
-    /// Take another footprint's atoms back out; every one must be
-    /// counted here.
+    /// Take another footprint's atoms back out (its transactions were
+    /// grounded or refused); every one must be counted here.
     pub fn retire(&mut self, other: &Footprint) {
         for (map, from) in [
             (&mut self.update_atoms, &other.update_atoms),
@@ -492,7 +472,7 @@ mod tests {
         both.absorb(Footprint::of_txn(&a));
         assert_eq!(fp, both, "multiset equality ignores arrival order");
         // Retiring one keeps the shared shape alive for the other.
-        fp.retire_txn(&a);
+        fp.retire(&Footprint::of_txn(&a));
         assert_eq!(fp, Footprint::of_txn(&b));
         assert!(fp.overlaps_txn(&book_flight(1, "X")));
         let q = qdb_logic::parse_query("Bookings('M', f, s)").unwrap();

@@ -1001,9 +1001,7 @@ impl SharedQuantumDb {
         // holds no contents itself: all of it is retired once the
         // collapse lands (`reinstall` hands survivors back).
         for part in &parts {
-            for t in &part.txns {
-                host.retired.absorb_txn(&t.txn);
-            }
+            host.retired.absorb(part.footprint());
         }
         if parts.is_empty() {
             self.publish(host_pid, &mut host);
@@ -1188,9 +1186,7 @@ impl SharedQuantumDb {
             }
         } else {
             for part in parts {
-                for t in &part.txns {
-                    host.retired.retire_txn(&t.txn);
-                }
+                host.retired.retire(&part.footprint());
                 host.part.merge(part);
             }
         }
